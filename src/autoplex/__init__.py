@@ -17,4 +17,4 @@ from .automata import Dfa
 from .bitstrings import BitString
 
 __all__ = ["BitString", "Dfa"]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

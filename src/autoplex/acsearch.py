@@ -8,9 +8,9 @@ set removes accepted strings but keeps x).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,50 +152,58 @@ def exact_A(x: BitsLike, max_states: int | None = None, cap: int = DEFAULT_SEARC
 # -- brute-force oracle ------------------------------------------------------
 
 
-def _brute_q_small(bits: list[int], q: int) -> Dfa | None:
-    """Plain enumeration of every q-state transition table."""
-    L = len(bits)
-    for flat in itertools.product(range(q), repeat=2 * q):
-        counts = [0] * q
-        counts[0] = 1
-        for _ in range(L):
-            nxt = [0] * q
-            for s in range(q):
-                c = counts[s]
-                if c:
-                    nxt[flat[2 * s]] = min(nxt[flat[2 * s]] + c, 2)
-                    nxt[flat[2 * s + 1]] = min(nxt[flat[2 * s + 1]] + c, 2)
-            counts = nxt
-        end = 0
-        for b in bits:
-            end = flat[2 * end + b]
-        if counts[end] == 1:
-            delta = tuple((flat[2 * s], flat[2 * s + 1]) for s in range(q))
-            return Dfa(states=q, start=0, accept=frozenset([end]), delta=delta)
-    return None
+@lru_cache(maxsize=None)
+def _tables(q: int) -> np.ndarray:
+    """Every q-state transition table as a row (t_0 on 0, t_0 on 1, t_1 on
+    0, ...), in itertools.product order: the last column varies fastest."""
+    tables = np.indices((q,) * (2 * q), dtype=np.uint8).reshape(2 * q, -1).T.copy()
+    tables.flags.writeable = False
+    return tables
 
 
-def _brute_q_batch(bits: list[int], q: int) -> Dfa | None:
-    """All q^(2q) transition tables at once via a vectorized path-count DP."""
-    tables = np.array(list(itertools.product(range(q), repeat=2 * q)), dtype=np.int64)
-    m = len(tables)
-    idx = np.arange(m)
-    counts = np.zeros((m, q), dtype=np.int64)
-    counts[:, 0] = 1
-    for _ in bits:
-        nxt = np.zeros((m, q), dtype=np.int64)
-        for s in range(q):
-            for b in (0, 1):
-                np.add.at(nxt, (idx, tables[:, 2 * s + b]), counts[:, s])
-        counts = np.minimum(nxt, 2)
-    end = np.zeros(m, dtype=np.int64)
+# _saturated_counts(q, L) for L = 0, 1, ..., filled on demand per q.
+_COUNTS: dict[int, list[np.ndarray]] = {}
+
+
+def _saturated_counts(q: int, length: int) -> np.ndarray:
+    """Length-`length` path counts from state 0 to each state, saturated
+    at 2, for every table of _tables(q) (rows) and state (columns).
+
+    They depend on q and the length only, not on the string, so every
+    string of that length shares them; each length is derived from the
+    one before.  A step sums at most 2q counts of at most 2, so uint8
+    never overflows before saturating.
+    """
+    tables = _tables(q)
+    per_len = _COUNTS.setdefault(q, [])
+    while len(per_len) <= length:
+        counts = np.zeros((len(tables), q), dtype=np.uint8)
+        if not per_len:
+            counts[:, 0] = 1
+        else:
+            prev = per_len[-1]
+            for t in range(q):
+                for col in range(2 * q):
+                    counts[:, t] += prev[:, col // 2] * (tables[:, col] == t)
+            np.minimum(counts, 2, out=counts)
+        counts.flags.writeable = False
+        per_len.append(counts)
+    return per_len[length]
+
+
+def _brute_q(bits: list[int], q: int) -> Dfa | None:
+    """First q-state table, in itertools.product order, whose state
+    reached on bits is reached by no other string of that length."""
+    tables = _tables(q)
+    rows = np.arange(len(tables))
+    end = np.zeros(len(tables), dtype=np.uint8)
     for b in bits:
-        end = tables[idx, 2 * end + b]
-    unique = np.nonzero(counts[idx, end] == 1)[0]
+        end = tables[rows, 2 * end + b]
+    unique = np.flatnonzero(_saturated_counts(q, len(bits))[rows, end] == 1)
     if len(unique) == 0:
         return None
-    flat = tables[unique[0]]
-    delta = tuple((int(flat[2 * s]), int(flat[2 * s + 1])) for s in range(q))
+    flat = tables[unique[0]].tolist()
+    delta = tuple(zip(flat[::2], flat[1::2]))
     return Dfa(states=q, start=0, accept=frozenset([int(end[unique[0]])]), delta=delta)
 
 
@@ -211,7 +219,7 @@ def brute_A(
         raise SearchCapExceeded(f"|x| = {len(x)} exceeds brute length cap {len_cap}")
     bits = list(x)
     for q in range(1, max_states + 1):
-        dfa = _brute_q_small(bits, q) if q <= 3 else _brute_q_batch(bits, q)
+        dfa = _brute_q(bits, q)
         if dfa is not None:
             return ComplexityResult(q, dfa)
     return None

@@ -56,7 +56,8 @@ def rate_profile(source: str, m_values, params: tseq.TParams = tseq.SCALED) -> l
     """Exact rational upper bounds on A(prefix(m))/(m+1) per m.
 
     Tiny prefixes use the exact search; longer ones use the best
-    applicable witness builder for the zone containing position m.
+    applicable witness builder for the zone containing position m, or
+    the plain chain machine where no case machine is certified.
     """
     if source not in ("psc", "tseq"):
         raise ValueError("source must be 'psc' or 'tseq'")
@@ -82,8 +83,12 @@ def rate_profile(source: str, m_values, params: tseq.TParams = tseq.SCALED) -> l
             while psc.cumulative_length(n + 2) <= m:
                 n += 1
             p_len = m - psc.cumulative_length(n + 1)
-            spec = witness.build_case(witness.case_for(n), n, p_len)
-            points.append(RatePoint(m, Fraction(spec.state_count, m + 1), spec.name))
+            if witness.case_certified(n, p_len):
+                spec = witness.build_case(witness.case_for(n), n, p_len)
+                points.append(RatePoint(m, Fraction(spec.state_count, m + 1), spec.name))
+            else:
+                # m + 1 chain states spelling the prefix, plus a dead state
+                points.append(RatePoint(m, Fraction(m + 2, m + 1), f"chain(m={m})"))
     return points
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bitstrings import BitString, BitsLike
 
 
@@ -43,25 +45,38 @@ class Dfa:
     def count_accepted(self, n: int, cap: int | None = None) -> int:
         """|L(M) intersect {0,1}^n|, exact.
 
-        Per-state path counts from the start state are advanced n steps;
-        totality conserves their sum at 2^k after k steps.  With cap set,
-        counts saturate there (enough to decide uniqueness cheaply).
+        The count runs backwards from the accept set: after k steps, v[s]
+        is the number of length-k strings leading from s into an accept
+        state, and each step gathers v along both transition columns.
+        With cap set, counts saturate there (enough to decide uniqueness
+        cheaply).  Counts are int64 while a step provably cannot overflow,
+        Python ints after that.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
-        counts = [0] * self.states
-        counts[self.start] = 1
-        for _ in range(n):
-            nxt = [0] * self.states
-            for q, c in enumerate(counts):
-                if c:
-                    t0, t1 = self.delta[q]
-                    nxt[t0] += c
-                    nxt[t1] += c
-            if cap is not None:
-                nxt = [min(c, cap) for c in nxt]
-            counts = nxt
-        return sum(counts[q] for q in self.accept)
+        if cap is not None and cap < 1:
+            raise ValueError("cap must be >= 1")
+        t0, t1 = np.array(self.delta, dtype=np.intp).T
+        v = np.zeros(self.states, dtype=np.int64)
+        v[list(self.accept)] = 1
+        left = n
+        while left:
+            if v.dtype == object:
+                steps = left
+            else:
+                # a step at most doubles the largest count, so int64 has
+                # room for 62 - bit_length(largest) more steps
+                top = cap if cap is not None else int(v.max())
+                steps = min(left, 62 - top.bit_length())
+                if steps < 1:
+                    v = v.astype(object)
+                    continue
+            for _ in range(steps):
+                v = v[t0] + v[t1]
+                if cap is not None:
+                    np.minimum(v, cap, out=v)
+            left -= steps
+        return int(v[self.start])
 
     def uniquely_accepts(self, x: BitsLike) -> bool:
         x = BitString(x)
@@ -81,26 +96,25 @@ class Dfa:
 
     @classmethod
     def from_json(cls, text: str) -> "Dfa":
+        """Parse to_json's format.  Every state must be a JSON integer (not
+        a boolean or a float); anything else raises ValueError."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("a DFA must be a JSON object")
+        missing = [k for k in ("states", "start", "accept", "delta") if k not in obj]
+        if missing:
+            raise ValueError(f"DFA JSON lacks {', '.join(missing)}")
+        accept, delta = obj["accept"], obj["delta"]
+        if not isinstance(accept, list):
+            raise ValueError("accept must be a list of states")
+        if not isinstance(delta, list) or not all(isinstance(row, list) and len(row) == 2 for row in delta):
+            raise ValueError("delta must be a list of [target on 0, target on 1] rows")
+        values = [obj["states"], obj["start"], *accept, *(t for row in delta for t in row)]
+        if not all(type(v) is int for v in values):
+            raise ValueError("states, start, accept and delta must hold integers")
         return cls(
             states=obj["states"],
             start=obj["start"],
-            accept=frozenset(obj["accept"]),
-            delta=tuple(tuple(row) for row in obj["delta"]),
+            accept=frozenset(accept),
+            delta=tuple(tuple(row) for row in delta),
         )
-
-
-def run(m: Dfa, x: BitsLike) -> int:
-    return m.run(x)
-
-
-def accepts(m: Dfa, x: BitsLike) -> bool:
-    return m.accepts(x)
-
-
-def count_accepted(m: Dfa, n: int) -> int:
-    return m.count_accepted(n)
-
-
-def uniquely_accepts(m: Dfa, x: BitsLike) -> bool:
-    return m.uniquely_accepts(x)

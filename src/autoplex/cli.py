@@ -117,6 +117,8 @@ def _cmd_tseq(args, cfg):
 
 
 def _cmd_dfa(args, cfg):
+    if args.action == "count" and not 0 <= args.len <= cfg.prefix_cap:
+        raise ValueError(f"--len must be in [0, {cfg.prefix_cap}] (the prefix cap)")
     m = Dfa.from_json(sys.stdin.read())
     if args.action == "count":
         c = m.count_accepted(args.len)

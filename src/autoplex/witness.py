@@ -287,6 +287,17 @@ def case_state_bound(case_id: int, n: int, p_len: int = 0) -> int:
     raise ValueError("case_id must be 1..4")
 
 
+def case_certified(n: int, p_len: int) -> bool:
+    """Whether build_case(case_for(n), n, p_len) uniquely accepts its target.
+
+    At zone 1 the accepting walk does not spell the prefix of C, and at
+    zone 2 past p_len = 2 the acceptance equation gains a second
+    solution.  From zone 3 on the machines are witnesses (checked at
+    every p_len through zone 6).
+    """
+    return n >= 3 or (n == 2 and p_len <= 2)
+
+
 def build_case(
     case_id: int,
     n: int,
@@ -301,6 +312,8 @@ def build_case(
     q = n + 1
     if not 0 <= p_len < (n + 2) * (1 << (n + 2)):
         raise ValueError("p_len out of range for the following zone")
+    if not case_certified(n, p_len):
+        raise ValueError(f"no case-{case_id} witness at zone {n} with p_len {p_len}")
     seq = seq or psc._default
     cb = psc.cumulative_length
     target = cb(q) + p_len

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -48,6 +49,48 @@ def test_exact_matches_brute_on_samples():
             assert brute.witness.uniquely_accepts(x)
         else:
             assert exact > acsearch.DEFAULT_BRUTE_STATE_CAP
+
+
+def _first_witnesses(max_states: int, max_len: int) -> dict:
+    """x -> (q, table, accept state) of the first table, fewest states
+    first and then in itertools.product order, with a state that x alone
+    reaches among the strings of its length."""
+    found = {}
+    for q in range(1, max_states + 1):
+        for flat in itertools.product(range(q), repeat=2 * q):
+            counts, words = [1] + [0] * (q - 1), [""] + [None] * (q - 1)
+            for length in range(max_len + 1):
+                for t in range(q):
+                    if counts[t] == 1:
+                        found.setdefault(words[t], (q, flat, t))
+                if length == max_len:
+                    break
+                nxt, nwords = [0] * q, [None] * q
+                for s in range(q):
+                    if counts[s]:
+                        for b in (0, 1):
+                            t = flat[2 * s + b]
+                            nxt[t] = min(nxt[t] + counts[s], 2)
+                            nwords[t] = words[s] + "01"[b]
+                counts, words = nxt, nwords
+    return found
+
+
+def test_brute_matches_plain_enumeration():
+    found = _first_witnesses(acsearch.DEFAULT_BRUTE_STATE_CAP, 10)
+    rng = random.Random(5)
+    strings = ["".join(c) for n in range(9) for c in itertools.product("01", repeat=n)]
+    strings += ["".join(rng.choice("01") for _ in range(rng.randint(9, 10))) for _ in range(40)]
+    strings += [w for w in found if len(w) >= 9][:20]
+    for x in strings:
+        r = acsearch.brute_A(x)
+        if x not in found:
+            assert r is None, x
+            continue
+        q, flat, accept = found[x]
+        assert r.value == q, x
+        assert r.witness.delta == tuple(zip(flat[::2], flat[1::2])), x
+        assert r.witness.accept == frozenset([accept]), x
 
 
 def test_search_cap():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from autoplex import analysis, psc, tseq
+from autoplex.automata import Dfa
 
 
 def test_frequency_report_golden():
@@ -40,6 +41,21 @@ def test_rate_profile_witness_region_psc():
     (p,) = analysis.rate_profile("psc", [psc.cumulative_length(7) + 3])
     assert p.source.startswith("case")
     assert p.bound < Fraction(3, 4)
+
+
+def test_rate_profile_psc_falls_back_to_chain():
+    # no case machine is certified at zone 1, so m = 20 is backed by the
+    # chain spelling the prefix plus a dead state
+    (p,) = analysis.rate_profile("psc", [20])
+    assert p.source == "chain(m=20)"
+    assert p.bound == Fraction(22, 21)
+    x = str(psc.prefix(20))
+    delta = [(i + 1, 21) if b == "0" else (21, i + 1) for i, b in enumerate(x)]
+    chain = Dfa(states=22, start=0, accept=frozenset([20]), delta=tuple(delta + [(21, 21), (21, 21)]))
+    assert chain.uniquely_accepts(x)
+    # zone 2 keeps its case machine for p_len <= 2 only
+    sources = [pt.source for pt in analysis.rate_profile("psc", [36, 37, 97, 98])]
+    assert sources == ["case1(n=2,p=2)", "chain(m=37)", "chain(m=97)", "case2(n=3,p=0)"]
 
 
 def test_rate_profile_witness_region_tseq():

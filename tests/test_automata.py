@@ -25,6 +25,15 @@ def test_count_accepted_exact():
     assert full.count_accepted(5) == 32
 
 
+def test_count_accepted_exact_past_int64():
+    full = Dfa(states=1, start=0, accept=frozenset([0]), delta=((0, 0),))
+    assert full.count_accepted(70) == 2**70
+    assert full.count_accepted(70, cap=2) == 2
+    # half of all strings end in a 1
+    ends_in_one = Dfa(states=2, start=0, accept=frozenset([1]), delta=((0, 1), (0, 1)))
+    assert ends_in_one.count_accepted(200) == 2**199
+
+
 def test_count_conservation():
     # totality conserves total path mass at 2^n
     m = Dfa(states=3, start=0, accept=frozenset([0, 1, 2]), delta=((1, 2), (0, 2), (2, 0)))
@@ -55,6 +64,25 @@ def test_json_roundtrip():
     assert again == m
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"states": true, "start": 0, "accept": [0], "delta": [[0, 0]]}',
+        '{"states": 1, "start": 0, "accept": [0], "delta": [[0.0, 0]]}',
+        '{"states": 1, "start": 0, "accept": [false], "delta": [[0, 0]]}',
+        '[{"states": 1, "start": 0, "accept": [0], "delta": [[0, 0]]}]',
+        '{"states": 1, "start": 0, "accept": [0]}',
+        '{"states": 1, "start": 0, "accept": 0, "delta": [[0, 0]]}',
+        '{"states": 1, "start": 0, "accept": [0], "delta": [[0, 0, 0]]}',
+        '{"states": 0, "start": 0, "accept": [], "delta": []}',
+        "not json",
+    ],
+)
+def test_from_json_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        Dfa.from_json(text)
+
+
 @given(st.integers(1, 4), st.data())
 def test_capped_count_agrees_on_uniqueness(q, data):
     delta = tuple(
@@ -65,5 +93,31 @@ def test_capped_count_agrees_on_uniqueness(q, data):
     n = data.draw(st.integers(0, 8))
     exact = m.count_accepted(n)
     capped = m.count_accepted(n, cap=2)
-    assert (exact == 1) == (capped == 1)
-    assert capped == min(exact, 2) or capped <= exact
+    assert capped == min(exact, 2)
+
+
+def _paths(m, n):
+    """Reference count: forward path counts in Python ints."""
+    counts = [0] * m.states
+    counts[m.start] = 1
+    for _ in range(n):
+        nxt = [0] * m.states
+        for q, c in enumerate(counts):
+            for t in m.delta[q]:
+                nxt[t] += c
+        counts = nxt
+    return sum(counts[q] for q in m.accept)
+
+
+@given(st.integers(1, 5), st.data())
+def test_count_matches_loop_reference(q, data):
+    delta = tuple(
+        (data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))) for _ in range(q)
+    )
+    accept = frozenset(data.draw(st.sets(st.integers(0, q - 1), max_size=q)))
+    m = Dfa(states=q, start=data.draw(st.integers(0, q - 1)), accept=accept, delta=delta)
+    # lengths on both sides of where counts outgrow int64
+    n = data.draw(st.integers(0, 130))
+    exact = _paths(m, n)
+    assert m.count_accepted(n) == exact
+    assert m.count_accepted(n, cap=5) == min(exact, 5)

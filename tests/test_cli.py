@@ -47,6 +47,37 @@ def test_dfa_accepts_from_stdin(capsys, monkeypatch):
     assert (code, out.strip()) == (0, "yes")
 
 
+def test_dfa_count_len_bounded_by_prefix_cap(capsys, monkeypatch):
+    import io
+
+    full = Dfa(states=1, start=0, accept=frozenset([0]), delta=((0, 0),)).to_json()
+    monkeypatch.setattr("sys.stdin", io.StringIO(full))
+    code, out, _ = run(capsys, "--prefix-cap", "10", "dfa", "count", "--len", "10")
+    assert (code, out.strip()) == (0, "1024")
+    for argv in (["--prefix-cap", "10", "dfa", "count", "--len", "11"], ["dfa", "count", "--len", "-1"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(full))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"states": true, "start": 0, "accept": [0], "delta": [[0, 0]]}',
+        '{"states": 1, "start": 0, "accept": [0], "delta": [[0.0, 0]]}',
+        "[1, 2]",
+    ],
+)
+def test_dfa_malformed_json_exits_one(capsys, monkeypatch, text):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "dfa", "count", "--len", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_acx_exact_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "acx", "exact", "--string", "0110")
     payload = json.loads(out)

@@ -82,6 +82,19 @@ def test_case_rejects_wrong_case_or_p():
         witness.build_case(2, 3, p_len=(5 << 5))
 
 
+def test_case_refuses_uncertified_zones():
+    # these machines accept 2-3 strings of the target length
+    for p_len in (0, 5, 23):
+        with pytest.raises(ValueError):
+            witness.build_case(1, 1, p_len)
+    for p_len in (3, 4, 63):
+        with pytest.raises(ValueError):
+            witness.build_case(1, 2, p_len)
+    for p_len in (0, 1, 2):
+        spec = witness.build_case(1, 2, p_len)
+        assert witness.materialize(spec).uniquely_accepts(spec.accepted_string())
+
+
 def test_symbolic_bounds_hold_large():
     # state counts stay within the closed-form bounds even where no bits fit
     for n in (10, 40, 100):
