@@ -10,12 +10,13 @@ only finite-n trends.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import acsearch, psc, tseq, witness
-from .bitstrings import BitString, BitsLike
+from .bitstrings import BitString, BitsLike, window_codes
 
 EXACT_PROFILE_CAP = 14
 
@@ -38,18 +39,18 @@ class RatePoint:
 def frequency_report(x: BitsLike, k: int) -> FrequencyReport:
     """Sliding counts of all length-k words and the worst deviation of
     their frequency from 2^-k."""
-    s = str(BitString(x))
-    if not 1 <= k <= len(s):
+    x = BitString(x)
+    if not 1 <= k <= len(x):
         raise ValueError("k must satisfy 1 <= k <= |x|")
-    windows = len(s) - k + 1
-    counts = Counter(s[i : i + k] for i in range(windows))
-    share = Fraction(1, 1 << k)
-    worst = Fraction(0)
-    for v in range(1 << k):
-        word = format(v, f"0{k}b")
-        dev = abs(Fraction(counts.get(word, 0), windows) - share)
-        worst = max(worst, dev)
-    return FrequencyReport(k=k, window_count=windows, counts=dict(counts), max_deviation=worst)
+    codes = window_codes(x, k)
+    windows = len(codes)
+    all_counts = np.bincount(codes, minlength=1 << k)
+    counts = {format(v, f"0{k}b"): int(all_counts[v]) for v in np.flatnonzero(all_counts).tolist()}
+    # |c/W - 2^-k| = |c*2^k - W| / (W*2^k) is convex in the count c, so
+    # the worst word has the largest or the smallest count.
+    extremes = (int(all_counts.max()), int(all_counts.min()))
+    worst = Fraction(max(abs((c << k) - windows) for c in extremes), windows << k)
+    return FrequencyReport(k=k, window_count=windows, counts=counts, max_deviation=worst)
 
 
 def rate_profile(source: str, m_values, params: tseq.TParams = tseq.SCALED) -> list:
@@ -153,6 +154,9 @@ def bound_series(which: str, n_values) -> list:
         fn = _SERIES[which]
     except KeyError:
         raise ValueError(f"unknown series {which!r}; choose from {sorted(_SERIES)}")
+    n_values = list(n_values)
+    if any(n < 1 for n in n_values):
+        raise ValueError("every n of a bound series must be >= 1")
     return [fn(n) for n in n_values]
 
 

@@ -107,10 +107,34 @@ def _coerce(x: BitsLike) -> BitString:
     return x if isinstance(x, BitString) else BitString(x)
 
 
-EMPTY = BitString("")
-
-
 # -- counting ------------------------------------------------------------
+
+
+def window_codes(x: Union[BitsLike, np.ndarray], k: int, step: int = 1) -> np.ndarray:
+    """Integer code (MSB first) of each length-k window of x, as int64.
+
+    step=1 gives every sliding window; step=k gives the block-aligned
+    windows x[0:k], x[k:2k], ... (a trailing partial block is dropped).
+    x is a bit string, or a 0/1 array whose last axis holds the bits, in
+    which case the codes of each row come back along the last axis.
+    """
+    if not 1 <= k <= 62:
+        raise ValueError("k must satisfy 1 <= k <= 62")
+    if step not in (1, k):
+        raise ValueError("step must be 1 or k")
+    a = x if isinstance(x, np.ndarray) else _coerce(x).to_array()
+    if step == 1:
+        count = max(a.shape[-1] - k + 1, 0)
+        columns = [a[..., i : i + count] for i in range(k)]
+    else:
+        count = a.shape[-1] // k
+        blocks = a[..., : count * k].reshape(*a.shape[:-1], count, k)
+        columns = [blocks[..., i] for i in range(k)]
+    codes = np.zeros(a.shape[:-1] + (count,), dtype=np.int64)
+    for col in columns:
+        codes <<= 1
+        codes |= col
+    return codes
 
 
 def occ(w: BitsLike, x: BitsLike) -> int:

@@ -180,8 +180,10 @@ def _cmd_witness(args, cfg):
 def _parse_min_vars(pairs, k):
     bounds = [0] * k
     for item in pairs or []:
-        i, v = item.split(":")
-        bounds[int(i)] = int(v)
+        i, v = (int(part) for part in item.split(":"))
+        if not 0 <= i < k:
+            raise ValueError(f"--min-var index {i} out of range for {k} coefficients")
+        bounds[i] = v
     return bounds
 
 
@@ -373,3 +375,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

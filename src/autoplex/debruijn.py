@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitstrings import BitString
+import numpy as np
+
+from .bitstrings import BitString, window_codes
 
 DEFAULT_ORDER_CAP = 24
 
@@ -42,18 +44,27 @@ def generate_lex_least(n: int, cap: int = DEFAULT_ORDER_CAP) -> DeBruijnString:
     if n > cap:
         raise OrderTooLarge(f"order {n} exceeds cap {cap}")
     out: list[str] = []
-    w = [0]
+    w = "0"
     while w:
         if n % len(w) == 0:
-            out.extend("01"[b] for b in w)
+            out.append(w)
         # Duval successor: extend w periodically to length n, strip the
         # maximal symbol 1 from the tail, bump the last remaining symbol.
-        w = [w[i % len(w)] for i in range(n)]
-        while w and w[-1] == 1:
-            w.pop()
+        w = (w * (n // len(w) + 1))[:n].rstrip("1")
         if w:
-            w[-1] = 1
+            w = w[:-1] + "1"
     return DeBruijnString(n, BitString("".join(out)), 0)
+
+
+def _debruijn_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """For each row of a (m, 2^n) 0/1 array, whether every length-n word
+    occurs exactly once in it read cyclically."""
+    m, size = rows.shape
+    codes = window_codes(np.concatenate([rows, rows[:, : n - 1]], axis=1), n)
+    # offset each row's codes into its own range, so one bincount counts all rows
+    codes += np.arange(m, dtype=np.int64)[:, None] * size
+    counts = np.bincount(codes.ravel(), minlength=m * size).reshape(m, size)
+    return np.all(counts == 1, axis=1)
 
 
 def is_debruijn(u: BitString, n: int) -> bool:
@@ -61,14 +72,7 @@ def is_debruijn(u: BitString, n: int) -> bool:
     in u read cyclically."""
     if n < 1 or len(u) != 1 << n:
         return False
-    s = str(u) + str(u)[: n - 1]
-    seen = set()
-    for i in range(1 << n):
-        w = s[i : i + n]
-        if w in seen:
-            return False
-        seen.add(w)
-    return len(seen) == 1 << n
+    return bool(_debruijn_rows(BitString(u).to_array()[None, :], n)[0])
 
 
 def rotate(d: DeBruijnString, j: int) -> DeBruijnString:
@@ -96,15 +100,15 @@ def generate_with_start_bit(n: int, b: int, cap: int = DEFAULT_ORDER_CAP) -> DeB
 
 def all_debruijn(n: int) -> list[BitString]:
     """Every de Bruijn string of order n, by exhaustive check.  Tiny n only."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
     if n > 4:
         raise OrderTooLarge("exhaustive enumeration is limited to n <= 4")
     size = 1 << n
-    found = []
-    for v in range(1 << size):
-        u = BitString(format(v, f"0{size}b"))
-        if is_debruijn(u, n):
-            found.append(u)
-    return found
+    # every candidate string at once, one per row, in increasing order
+    values = np.arange(1 << size, dtype=np.int64)[:, None]
+    rows = ((values >> np.arange(size - 1, -1, -1)) & 1).astype(np.uint8)
+    return [BitString(format(int(v), f"0{size}b")) for v in np.flatnonzero(_debruijn_rows(rows, n))]
 
 
 def rotation_classes(n: int) -> int:

@@ -7,11 +7,12 @@ that every length-n word occurs exactly once block-aligned in the zone.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import debruijn
-from .bitstrings import BitString, find_squares, occ_block
+from .bitstrings import BitString, find_squares, window_codes
 
 DEFAULT_ZONE_CAP = 20
 
@@ -52,20 +53,24 @@ def cumulative_length(n: int) -> int:
 
 
 class PscSequence:
-    """Lazy Champernowne sequence with cached zones.
+    """Lazy Champernowne sequence with cached zones and de Bruijn strings.
 
     The per-order de Bruijn string defaults to the lex-least choice, which
     has prefix 0^n and suffix 1^n; an alternative chooser is injectable.
+    The chooser is called at most once per order.
     """
 
     def __init__(self, zone_cap: int = DEFAULT_ZONE_CAP, debruijn_choice=None):
         self.zone_cap = zone_cap
         self._choice = debruijn_choice or debruijn.generate_lex_least
         self._zones: dict[int, BitString] = {}
-        self._lock = threading.Lock()
+        self._debruijn: dict[int, debruijn.DeBruijnString] = {}
 
     def debruijn_string(self, n: int) -> debruijn.DeBruijnString:
-        return self._choice(n)
+        d = self._debruijn.get(n)
+        if d is None:
+            d = self._debruijn[n] = self._choice(n)
+        return d
 
     def v_tail(self, n: int) -> BitString:
         """The v_n with d_n = 0^n 1 v_n (requires the 0^n-prefix choice)."""
@@ -78,8 +83,7 @@ class PscSequence:
         """The zone C_n of length n * 2^n."""
         if n > self.zone_cap:
             raise ZoneTooLarge(f"zone {n} exceeds cap {self.zone_cap}")
-        with self._lock:
-            cached = self._zones.get(n)
+        cached = self._zones.get(n)
         if cached is not None:
             return cached
         fact = factorize(n)
@@ -89,8 +93,7 @@ class PscSequence:
             parts.append(str(debruijn.rotate(d, j).bits) * fact.t)
         z = BitString("".join(parts))
         assert len(z) == n * (1 << n)
-        with self._lock:
-            self._zones[n] = z
+        self._zones[n] = z
         return z
 
     def bit_at(self, i: int) -> int:
@@ -126,9 +129,8 @@ class PscSequence:
     def verify_zone(self, n: int) -> bool:
         """Champernowne property of zone n: each length-n word occurs
         exactly once block-aligned."""
-        z = str(self.zone(n))
-        blocks = {z[i : i + n] for i in range(0, len(z), n)}
-        return len(blocks) == 1 << n
+        codes = window_codes(self.zone(n), n, step=n)
+        return bool(np.all(np.bincount(codes, minlength=1 << n) == 1))
 
     def verify_loop_lemma(self, j: int) -> dict:
         """Scan zone j for squares of half-length >= j and report every

@@ -94,7 +94,9 @@ def zone_length_digits(j: int, params: TParams = SCALED) -> int:
         return len(str(1 << j)) + prev * len(str(prev))
 
 
+@lru_cache(maxsize=32)
 def debruijn_for_zone(j: int, params: TParams = SCALED) -> debruijn.DeBruijnString:
+    """The de Bruijn string of zone j (cached: the strings are immutable)."""
     return debruijn.generate_with_start_bit(j, _start_bit(j), cap=params.debruijn_cap)
 
 

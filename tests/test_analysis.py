@@ -1,6 +1,8 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from autoplex import analysis, psc, tseq
 from autoplex.automata import Dfa
@@ -21,6 +23,19 @@ def test_frequency_report_missing_word_drives_deviation():
     assert "10" not in r.counts
     # an unseen word still counts against the deviation
     assert r.max_deviation >= Fraction(1, 4)
+
+
+@given(st.text(alphabet="01", min_size=1, max_size=64), st.integers(1, 6))
+def test_frequency_report_matches_counter(s, k):
+    k = min(k, len(s))
+    windows = len(s) - k + 1
+    counts = Counter(s[i : i + k] for i in range(windows))
+    worst = max(
+        abs(Fraction(counts.get(format(v, f"0{k}b"), 0), windows) - Fraction(1, 1 << k))
+        for v in range(1 << k)
+    )
+    r = analysis.frequency_report(s, k)
+    assert (r.window_count, r.counts, r.max_deviation) == (windows, dict(counts), worst)
 
 
 def test_frequency_report_validation():

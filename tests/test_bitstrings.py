@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from autoplex.bitstrings import (
     lexlen_compare,
     occ,
     occ_block,
+    window_codes,
 )
 
 bits = st.text(alphabet="01", max_size=64)
@@ -48,6 +50,18 @@ def test_occ_block_counts_aligned():
     assert occ_block("01", "010101") == 3
     assert occ_block("01", "001101") == 1
     assert occ_block("01", "001011") == 0
+
+
+def test_window_codes():
+    assert window_codes("01101", 2).tolist() == [0b01, 0b11, 0b10, 0b01]
+    assert window_codes("0110100", 3, step=3).tolist() == [0b011, 0b010]
+    assert window_codes("01", 3).tolist() == []
+    rows = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+    assert window_codes(rows, 2).tolist() == [[1, 3], [2, 0]]
+    with pytest.raises(ValueError):
+        window_codes("0101", 2, step=3)
+    with pytest.raises(ValueError):
+        window_codes("0101", 0)
 
 
 def test_find_squares_known():

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import autoplex
 
 from autoplex import cli
 from autoplex.automata import Dfa
@@ -116,6 +122,31 @@ def test_dio_solve_with_family(capsys):
     assert payload["unique"] is True
     base = payload["family"]["base"]
     assert 3 * base[0] + 5 * base[1] == 15
+
+
+def test_dio_min_var_index_out_of_range_exits_one(capsys):
+    code, out, err = run(capsys, "dio", "solve", "--coeffs", "3,5", "--const", "0",
+                         "--target", "15", "--min-var", "7:1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "index 7" in err and err.count("\n") == 1
+
+
+def test_rates_series_rejects_n_below_one(capsys):
+    code, out, err = run(capsys, "rates", "series", "--which", "case3", "--n-list", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("module", ["autoplex", "autoplex.cli"])
+def test_python_m_runs_the_cli(module):
+    src = str(Path(autoplex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", module, "debruijn", "--order", "3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, "00010111")
+    done = subprocess.run([sys.executable, "-m", module, "psc", "zone", "--n", "99"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1 and done.stderr.startswith("error: ")
 
 
 def test_rates_series_csv(capsys):

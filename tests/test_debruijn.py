@@ -16,6 +16,32 @@ def test_lex_least_golden():
         assert str(debruijn.generate_lex_least(n).bits) == want
 
 
+def fkm(n: int) -> str:
+    """Recursive Fredricksen-Kessler-Maiorana construction of the
+    lex-least de Bruijn string (Ruskey's db(t, p))."""
+    a = [0] * (n + 1)
+    out = []
+
+    def db(t: int, p: int) -> None:
+        if t > n:
+            if n % p == 0:
+                out.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        db(t + 1, p)
+        if a[t - p] == 0:
+            a[t] = 1
+            db(t + 1, t)
+
+    db(1, 1)
+    return "".join(map(str, out))
+
+
+def test_lex_least_matches_recursive_fkm():
+    for n in range(1, 15):
+        assert str(debruijn.generate_lex_least(n).bits) == fkm(n)
+
+
 def test_lex_least_prefix_suffix():
     for n in range(1, 13):
         s = str(debruijn.generate_lex_least(n).bits)
@@ -27,6 +53,15 @@ def test_is_debruijn_accepts_and_rejects():
     assert debruijn.is_debruijn(BitString("00010111"), 3)
     assert not debruijn.is_debruijn(BitString("00010110"), 3)
     assert not debruijn.is_debruijn(BitString("0001"), 3)
+
+
+def test_is_debruijn_matches_set_check():
+    n = 3
+    for v in range(1 << 8):
+        s = format(v, "08b")
+        cyclic = s + s[: n - 1]
+        distinct = {cyclic[i : i + n] for i in range(8)}
+        assert debruijn.is_debruijn(BitString(s), n) == (len(distinct) == 8)
 
 
 def test_rotate_tracks_rotation():

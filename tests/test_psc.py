@@ -39,10 +39,9 @@ def test_zone_length():
 
 
 def test_bit_at_matches_prefix():
-    m = psc.cumulative_length(6)
+    m = psc.cumulative_length(8)
     s = str(psc.prefix(m))
-    for i in range(0, m, 97):
-        assert psc.bit_at(i) == int(s[i])
+    assert [psc.bit_at(i) for i in range(m)] == [int(c) for c in s]
 
 
 def test_verify_zone():
@@ -57,6 +56,25 @@ def test_verify_zone_detects_broken_choice():
 
     broken = psc.PscSequence(debruijn_choice=lambda n: DeBruijnString(n, BitString("0" * (1 << n))))
     assert not broken.verify_zone(2)
+
+
+def test_debruijn_choice_called_once_per_order():
+    from autoplex import debruijn
+
+    calls = []
+
+    def choice(n):
+        calls.append(n)
+        return debruijn.generate_lex_least(n)
+
+    seq = psc.PscSequence(debruijn_choice=choice)
+    for n in (3, 4, 6):
+        seq.zone(n)
+        assert seq.verify_zone(n)
+        seq.v_tail(n)
+    for i in range(psc.cumulative_length(6)):
+        seq.bit_at(i)
+    assert sorted(calls) == [1, 2, 3, 4, 5, 6]
 
 
 def test_v_tail():

@@ -43,10 +43,8 @@ def test_prefix_structure():
 
 
 def test_bit_at_matches_prefix():
-    m = tseq.cumulative_length(4)
-    s = str(tseq.prefix(m))
-    for i in range(0, m, 31):
-        assert tseq.bit_at(i) == int(s[i])
+    s = str(tseq.prefix(5000))
+    assert [tseq.bit_at(i) for i in range(5000)] == [int(c) for c in s]
 
 
 def test_exact_prefix_zone1():
