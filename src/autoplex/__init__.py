@@ -1,7 +1,7 @@
 """Toolkit for constructed normal sequences and exact automatic complexity.
 
 Modules:
-- bitstrings: packed binary words, occurrence counting, square detection
+- bitstrings: binary words, window codes, square detection
 - debruijn: de Bruijn string generation and rotation
 - psc: Champernowne sequences built from de Bruijn rotations
 - tseq: the layered de Bruijn power sequence

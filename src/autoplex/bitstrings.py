@@ -1,4 +1,4 @@
-"""Binary string kernel: storage, substring counting, repetition detection, orderings.
+"""Binary string kernel: storage, window codes, repetition detection.
 
 The BitString type is the carrier for every sequence fragment in this
 package.  Internally it wraps an ASCII '0'/'1' string, which keeps slicing
@@ -7,7 +7,6 @@ and substring comparison in C; the external contract is index-level access.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -70,35 +69,6 @@ class BitString:
 
     # -- conversions ---------------------------------------------------
 
-    def to_text(self) -> str:
-        """ASCII line of '0'/'1' characters."""
-        return self._s
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitString":
-        return cls(text.strip())
-
-    def to_packed(self) -> bytes:
-        """8-byte little-endian bit-length header, then bits LSB-first per byte."""
-        n = len(self._s)
-        out = bytearray(struct.pack("<Q", n))
-        for i in range(0, n, 8):
-            byte = 0
-            for j, c in enumerate(self._s[i : i + 8]):
-                if c == "1":
-                    byte |= 1 << j
-            out.append(byte)
-        return bytes(out)
-
-    @classmethod
-    def from_packed(cls, data: bytes) -> "BitString":
-        (n,) = struct.unpack("<Q", data[:8])
-        chars = []
-        for i in range(n):
-            byte = data[8 + i // 8]
-            chars.append("1" if (byte >> (i % 8)) & 1 else "0")
-        return cls("".join(chars))
-
     def to_array(self) -> np.ndarray:
         return np.frombuffer(self._s.encode("ascii"), dtype=np.uint8) - ord("0")
 
@@ -135,28 +105,6 @@ def window_codes(x: Union[BitsLike, np.ndarray], k: int, step: int = 1) -> np.nd
         codes <<= 1
         codes |= col
     return codes
-
-
-def occ(w: BitsLike, x: BitsLike) -> int:
-    """Occurrences of w as a (possibly overlapping) substring of x."""
-    w, x = _coerce(w), _coerce(x)
-    if len(w) == 0:
-        raise ValueError("pattern must be nonempty")
-    n = 0
-    i = x._s.find(w._s)
-    while i != -1:
-        n += 1
-        i = x._s.find(w._s, i + 1)
-    return n
-
-
-def occ_block(w: BitsLike, x: BitsLike) -> int:
-    """Occurrences of w in x at positions that are multiples of |w|."""
-    w, x = _coerce(w), _coerce(x)
-    m = len(w)
-    if m == 0:
-        raise ValueError("pattern must be nonempty")
-    return sum(1 for i in range(0, len(x) - m + 1, m) if x._s[i : i + m] == w._s)
 
 
 # -- repetitions ----------------------------------------------------------
@@ -207,16 +155,3 @@ def is_k_power_free(x: BitsLike, k: int) -> bool:
         if np.any(window == need):
             return False
     return True
-
-
-# -- ordering --------------------------------------------------------------
-
-
-def lexlen_compare(x: BitsLike, y: BitsLike) -> int:
-    """Length-lexicographic order: -1 if x first, 0 if equal, 1 if y first."""
-    x, y = _coerce(x), _coerce(y)
-    if len(x) != len(y):
-        return -1 if len(x) < len(y) else 1
-    if x._s == y._s:
-        return 0
-    return -1 if x._s < y._s else 1

@@ -27,7 +27,6 @@ class Config:
     state_cap: int = witness.DEFAULT_STATE_BUDGET
     prefix_cap: int = 1 << 24
     fmt: str = "text"
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.zone_cap, self.state_cap, self.prefix_cap) < 1:
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--zone-cap", type=int, default=_env("ZONE_CAP", psc.DEFAULT_ZONE_CAP))
     parser.add_argument("--state-cap", type=int, default=_env("STATE_CAP", witness.DEFAULT_STATE_BUDGET))
     parser.add_argument("--prefix-cap", type=int, default=_env("PREFIX_CAP", 1 << 24))
-    parser.add_argument("--seed", type=int, default=_env("SEED", 0))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("debruijn")
@@ -363,7 +361,6 @@ def dispatch(argv=None) -> int:
             state_cap=args.state_cap,
             prefix_cap=args.prefix_cap,
             fmt=args.format,
-            seed=args.seed,
         )
         if getattr(args, "action", None) is None and args.command == "rates":
             args.action = "profile"

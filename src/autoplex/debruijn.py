@@ -109,15 +109,3 @@ def all_debruijn(n: int) -> list[BitString]:
     values = np.arange(1 << size, dtype=np.int64)[:, None]
     rows = ((values >> np.arange(size - 1, -1, -1)) & 1).astype(np.uint8)
     return [BitString(format(int(v), f"0{size}b")) for v in np.flatnonzero(_debruijn_rows(rows, n))]
-
-
-def rotation_classes(n: int) -> int:
-    """Number of de Bruijn strings of order n up to cyclic rotation."""
-    strings = {str(u) for u in all_debruijn(n)}
-    classes = 0
-    while strings:
-        s = strings.pop()
-        classes += 1
-        for j in range(1, len(s)):
-            strings.discard(s[j:] + s[:j])
-    return classes

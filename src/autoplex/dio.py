@@ -9,6 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# enumerate_nonneg gives up past this many search nodes; the largest
+# certification equation in the package (build_Mhat(compact=True)) takes
+# 14,711
+MAX_NODES = 10**6
+
 
 @dataclass(frozen=True)
 class DioCertificate:
@@ -74,7 +79,8 @@ def enumerate_nonneg(
 
     Positive coefficients make the region finite: variable i ranges over
     [bound_i, (target - constant - committed) / coeff_i], with the partial
-    sum pruning deeper branches.
+    sum pruning deeper branches.  Raises ValueError once the search
+    visits more than MAX_NODES nodes.
     """
     coefficients = tuple(int(c) for c in coefficients)
     if any(c <= 0 for c in coefficients):
@@ -88,8 +94,13 @@ def enumerate_nonneg(
     slack = target - constant
     solutions: list[tuple] = []
     current: list[int] = []
+    nodes = 0
 
     def rec(i: int, remaining: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_NODES:
+            raise ValueError(f"enumeration exceeds {MAX_NODES} search nodes")
         if i == len(coefficients):
             if remaining == 0:
                 solutions.append(tuple(current))

@@ -131,6 +131,8 @@ def materialize(spec: WitnessSpec, max_states: int = DEFAULT_STATE_BUDGET) -> Df
         raise ValueError(f"state count {total} exceeds budget {max_states}")
     if any(seg.bits is None for seg in spec.segments):
         raise ValueError("spec is symbolic-only; no bits attached")
+    if any(a.kind == b.kind == "chain" for a, b in zip(spec.segments, spec.segments[1:])):
+        raise ValueError("chains may not follow chains in a witness spec")
 
     starts = []
     nid = 0
@@ -150,12 +152,6 @@ def materialize(spec: WitnessSpec, max_states: int = DEFAULT_STATE_BUDGET) -> Df
             )
         delta[s][b] = t
 
-    def entry(i: int) -> int:
-        seg = spec.segments[i]
-        if seg.kind == "loop":
-            return starts[i]
-        raise ValueError("chains may not follow chains in a witness spec")
-
     prev_root = None
     for i, seg in enumerate(spec.segments):
         base = starts[i]
@@ -167,16 +163,13 @@ def materialize(spec: WitnessSpec, max_states: int = DEFAULT_STATE_BUDGET) -> Df
         m = seg.bits_len
         if i == 0:
             # initial chain: owns m states, last edge enters the next root
-            path = list(range(base, base + m)) + [entry(i + 1)]
-            src = path[0]
+            path = list(range(base, base + m)) + [starts[i + 1]]
         elif seg.length == m - 1:
             # chain between two loops: endpoints are the neighboring roots
-            path = [prev_root] + list(range(base, base + m - 1)) + [entry(i + 1)]
-            src = prev_root
+            path = [prev_root] + list(range(base, base + m - 1)) + [starts[i + 1]]
         else:
             # final chain: leaves the previous root, owns all m states
             path = [prev_root] + list(range(base, base + m))
-            src = prev_root
         for k in range(m):
             set_edge(path[k], seg.bits[k], path[k + 1])
 
@@ -298,6 +291,27 @@ def case_certified(n: int, p_len: int) -> bool:
     return n >= 3 or (n == 2 and p_len <= 2)
 
 
+def _case_shape(case_id: int, n: int) -> tuple:
+    """How the case machine reads zones n and q = n+1, with n = 2^s t and
+    q = 2^s' t' (t, t' odd).
+
+    Returns (a, z, traversals) of loop 1 = 1 v_n d_n^a 0^z, the k of the
+    middle chain 0^k, (a', z', full traversals) of loop 2 =
+    1 v_q d_q^a' 0^z', and how far short of loop 2's root the zone-q walk
+    stops.
+    """
+    q = n + 1
+    fact, fact_q = psc.factorize(n), psc.factorize(q)
+    return {
+        1: ((0, n - 1, n), q, (0, q, n), q),
+        2: ((0, n, n), 1, (0, n, n), 0),
+        3: ((fact.t - 1, n - 1, 1 << fact.s), (1 << fact.s) + 1, (0, q, n), q),
+        # the zone-q walk runs past the zone boundary into the zeros
+        # opening the next zone
+        4: ((0, n, n), 1, (fact_q.t - 1, n, (1 << fact_q.s) - 1), q - (1 << fact_q.s)),
+    }[case_id]
+
+
 def build_case(
     case_id: int,
     n: int,
@@ -316,115 +330,43 @@ def build_case(
         raise ValueError(f"no case-{case_id} witness at zone {n} with p_len {p_len}")
     seq = seq or psc._default
     cb = psc.cumulative_length
-    target = cb(q) + p_len
-
     with_bits = q + 1 <= seq.zone_cap and cb(q + 1) <= bits_cap
-    if with_bits:
-        vn = str(seq.v_tail(n))
-        vq = str(seq.v_tail(q))
-        dn = str(seq.debruijn_string(n).bits)
-        dq = str(seq.debruijn_string(q).bits)
-        p_bits = str(seq.zone(q + 1))[:p_len]
-        x0_bits = str(seq.prefix(cb(n - 1))) + "0" * n
+
+    def segment(kind, label, length, bits_len, bits, repeats=1):
+        # bits is a thunk, resolved only when the spec is materializable
+        return Segment(kind, label, length, bits_len, repeats, bits() if with_bits else None)
+
+    def loop(m, a, z, repeats):
+        # 1 v_m d_m^a 0^z, where d_m = 0^m 1 v_m, so 1 v_m has 2^m - m bits
+        size = ((a + 1) << m) - m + z
+        bits = lambda: "1" + str(seq.v_tail(m)) + str(seq.debruijn_string(m).bits) * a + "0" * z
+        return segment("loop", f"1 v_{m} d_{m}^{a} 0^{z}", size, size, bits, repeats)
+
+    (a1, z1, traversals), k, (a2, z2, full), short = _case_shape(case_id, n)
+    x0 = cb(n - 1) + n
+    segments = [
+        segment("chain", f"zones 1..{n - 1} plus 0^{n}", x0, x0, lambda: str(seq.prefix(cb(n - 1))) + "0" * n),
+        loop(n, a1, z1, traversals),
+        segment("chain", f"0^{k}", k - 1, k, lambda: "0" * k),
+    ]
+    # after `full` traversals of loop 2 the zone-q walk stops `short` bits
+    # before its root; p runs on from there, onto an exit chain past the root
+    if p_len < short:
+        segments.append(loop(q, a2, z2, full))
+        offset = segments[-1].length - short + p_len
     else:
-        vn = vq = dn = dq = p_bits = x0_bits = None
-
-    def chain(label, bits_len, length, bits):
-        if bits is not None and len(bits) != bits_len:
-            raise ValueError("resolved bits disagree with the factorization")
-        return Segment("chain", label, length, bits_len, bits=bits if with_bits else None)
-
-    def loop(label, bits, bits_len, repeats):
-        return Segment("loop", label, bits_len, bits_len, repeats=repeats, bits=bits if with_bits else None)
-
-    x0 = chain(f"zones 1..{n - 1} plus 0^{n}", cb(n - 1) + n, cb(n - 1) + n, x0_bits)
-    fact = psc.factorize(n)
-    fact_q = psc.factorize(q)
-    if case_id == 1:
-        l1 = loop(f"1 v_{n} 0^{n - 1}", None if not with_bits else "1" + vn + "0" * (n - 1), (1 << n) - 1, n)
-        x1 = chain(f"0^{q}", q, q - 1, None if not with_bits else "0" * q)
-        l2_bits = None if not with_bits else "1" + vq + "0" * q
-        l2_len = 1 << q
-        overrun = 0
-    elif case_id == 2:
-        l1 = loop(f"1 v_{n} 0^{n}", None if not with_bits else "1" + vn + "0" * n, 1 << n, n)
-        x1 = chain("0", 1, 0, None if not with_bits else "0")
-        l2_bits = None if not with_bits else "1" + vq + "0" * n
-        l2_len = (1 << q) - 1
-        overrun = 0
-    elif case_id == 3:
-        l1 = loop(
-            f"1 v_{n} d_{n}^{fact.t - 1} 0^{n - 1}",
-            None if not with_bits else "1" + vn + dn * (fact.t - 1) + "0" * (n - 1),
-            (1 << n) * fact.t - 1,
-            1 << fact.s,
-        )
-        x1 = chain(f"0^{(1 << fact.s) + 1}", (1 << fact.s) + 1, 1 << fact.s, None if not with_bits else "0" * ((1 << fact.s) + 1))
-        l2_bits = None if not with_bits else "1" + vq + "0" * q
-        l2_len = 1 << q
-        overrun = 0
-    elif case_id == 4:
-        l1 = loop(f"1 v_{n} 0^{n}", None if not with_bits else "1" + vn + "0" * n, 1 << n, n)
-        x1 = chain("0", 1, 0, None if not with_bits else "0")
-        l2_bits = None if not with_bits else "1" + vq + dq * (fact_q.t - 1) + "0" * n
-        l2_len = (1 << q) * fact_q.t - 1
-        # the last traversal runs past the zone boundary into the zeros
-        # opening the next zone
-        overrun = q - (1 << fact_q.s)
-    else:
-        raise ValueError("case_id must be 1..4")
-
-    segments = [x0, l1, x1]
-    l2_label = f"zone-{q} loop (len {l2_len})"
-    if case_id == 2:
-        # the zone-(n+1) walk ends exactly at the root after q traversals,
-        # so any p is read on the exit chain
-        segments.append(Segment("loop", l2_label, l2_len, l2_len, repeats=q, bits=l2_bits))
-        if p_len == 0:
-            accept_segment, accept_offset = len(segments) - 1, 0
-        else:
-            segments.append(Segment("chain", f"p (len {p_len})", p_len, p_len, bits=p_bits))
-            accept_segment, accept_offset = len(segments) - 1, 0
-        return WitnessSpec(
-            name=f"case{case_id}(n={n},p={p_len})",
-            segments=tuple(segments),
-            accept_segment=accept_segment,
-            accept_offset=accept_offset,
-            target_len=target,
-        )
-
-    if case_id in (1, 3):
-        # the zone-(n+1) walk: n full traversals, then the partial pass
-        # covering the zone's closing 1 v block and up to q more zeros
-        base_off = l2_len - q
-        full = n
-    else:
-        base_off = l2_len - overrun
-        full = (1 << fact_q.s) - 1
-
-    off = base_off + p_len
-    if off < l2_len:
-        segments.append(Segment("loop", l2_label, l2_len, l2_len, repeats=full, bits=l2_bits))
-        accept_segment, accept_offset = len(segments) - 1, off
-    elif off == l2_len:
-        segments.append(Segment("loop", l2_label, l2_len, l2_len, repeats=full + 1, bits=l2_bits))
-        accept_segment, accept_offset = len(segments) - 1, 0
-    else:
-        exit_len = off - l2_len
-        segments.append(Segment("loop", l2_label, l2_len, l2_len, repeats=full + 1, bits=l2_bits))
-        exit_bits = None
-        if with_bits:
-            skip = p_len - exit_len
-            exit_bits = p_bits[skip:]
-        segments.append(Segment("chain", f"tail of p (len {exit_len})", exit_len, exit_len, bits=exit_bits))
-        accept_segment, accept_offset = len(segments) - 1, 0
-
+        segments.append(loop(q, a2, z2, full + 1))
+        offset = 0
+        if p_len > short:
+            tail = p_len - short
+            segments.append(segment("chain", f"tail of p (len {tail})", tail, tail,
+                                    lambda: str(seq.zone(q + 1))[short:p_len]))
     return WitnessSpec(
         name=f"case{case_id}(n={n},p={p_len})",
         segments=tuple(segments),
-        accept_segment=accept_segment,
-        accept_offset=accept_offset,
-        target_len=target,
+        accept_segment=len(segments) - 1,
+        accept_offset=offset,
+        target_len=cb(q) + p_len,
     )
 
 

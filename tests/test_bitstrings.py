@@ -6,9 +6,6 @@ from autoplex.bitstrings import (
     BitString,
     find_squares,
     is_k_power_free,
-    lexlen_compare,
-    occ,
-    occ_block,
     window_codes,
 )
 
@@ -20,7 +17,6 @@ def test_construction_and_text_roundtrip():
     assert str(x) == "0101"
     assert len(x) == 4
     assert x[0] == 0 and x[1] == 1
-    assert BitString.from_text(x.to_text()) == x
 
 
 def test_rejects_non_binary():
@@ -31,25 +27,6 @@ def test_rejects_non_binary():
 def test_concat_and_power():
     assert str(BitString("01") + BitString("10")) == "0110"
     assert str(BitString("01") * 3) == "010101"
-
-
-@given(bits)
-def test_packed_roundtrip(s):
-    x = BitString(s)
-    assert BitString.from_packed(x.to_packed()) == x
-
-
-def test_occ_counts_overlapping():
-    assert occ("00", "00100") == 2
-    assert occ("11", "111") == 2
-    assert occ("101", "10101") == 2
-    assert occ("0", "") == 0
-
-
-def test_occ_block_counts_aligned():
-    assert occ_block("01", "010101") == 3
-    assert occ_block("01", "001101") == 1
-    assert occ_block("01", "001011") == 0
 
 
 def test_window_codes():
@@ -86,9 +63,3 @@ def test_k_power_free():
     assert is_k_power_free("0110", 3)
     assert not is_k_power_free("000", 3)
     assert not is_k_power_free("010101", 3)
-
-
-def test_lexlen_compare_orders_by_length_first():
-    assert lexlen_compare(BitString("1"), BitString("00")) < 0
-    assert lexlen_compare(BitString("01"), BitString("00")) > 0
-    assert lexlen_compare(BitString("01"), BitString("01")) == 0

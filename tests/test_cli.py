@@ -131,6 +131,13 @@ def test_dio_min_var_index_out_of_range_exits_one(capsys):
     assert err.startswith("error: ") and "index 7" in err and err.count("\n") == 1
 
 
+def test_dio_solve_past_the_work_cap_exits_one(capsys):
+    code, out, err = run(capsys, "dio", "solve", "--coeffs", "1,1,1", "--const", "0",
+                         "--target", "3000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "search nodes" in err and err.count("\n") == 1
+
+
 def test_rates_series_rejects_n_below_one(capsys):
     code, out, err = run(capsys, "rates", "series", "--which", "case3", "--n-list", "0")
     assert (code, out) == (1, "")

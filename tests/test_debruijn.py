@@ -89,11 +89,6 @@ def test_all_debruijn_counts():
     assert len(debruijn.all_debruijn(4)) == 256
 
 
-def test_rotation_classes():
-    assert debruijn.rotation_classes(3) == 2
-    assert debruijn.rotation_classes(4) == 16
-
-
 def test_order_cap():
     with pytest.raises(debruijn.OrderTooLarge):
         debruijn.generate_lex_least(25)

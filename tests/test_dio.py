@@ -100,3 +100,15 @@ def test_certificate_validation_and_uniqueness():
             bounds=(1, 1),
             solutions=((0, 3),),
         )
+
+
+def test_enumeration_work_is_capped(monkeypatch):
+    # ~4.5 million solutions: the search stops at MAX_NODES instead
+    with pytest.raises(ValueError, match="search nodes"):
+        dio.enumerate_nonneg((1, 1, 1), 0, 3000)
+    # (1, 1) with slack 9 visits the root and its 10 children
+    monkeypatch.setattr(dio, "MAX_NODES", 11)
+    assert len(dio.enumerate_nonneg((1, 1), 0, 9).solutions) == 10
+    monkeypatch.setattr(dio, "MAX_NODES", 10)
+    with pytest.raises(ValueError, match="exceeds 10 search nodes"):
+        dio.enumerate_nonneg((1, 1), 0, 9)

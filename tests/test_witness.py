@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from autoplex import psc, tseq, witness
+from autoplex import analysis, psc, tseq, witness
 
 
 def test_segment_and_spec_validation():
@@ -104,6 +106,21 @@ def test_symbolic_bounds_hold_large():
         assert witness.acceptance_length_equation(spec).unique
 
 
+def test_materialize_rejects_chain_after_chain():
+    spec = witness.WitnessSpec(
+        name="two chains",
+        segments=(
+            witness.Segment("chain", "a", 2, 2, bits="01"),
+            witness.Segment("chain", "b", 2, 2, bits="10"),
+        ),
+        accept_segment=1,
+        accept_offset=0,
+        target_len=4,
+    )
+    with pytest.raises(ValueError, match="chains may not follow chains"):
+        witness.materialize(spec)
+
+
 def test_materialize_budget():
     spec = witness.build_case(witness.case_for(6), 6)
     with pytest.raises(ValueError):
@@ -131,3 +148,48 @@ def test_mhat_compact_variant_counts_states_only():
     assert compact.state_count == quoted
     # the shorter middle loop admits extra walk lengths
     assert len(witness.acceptance_length_equation(compact).solutions) == 3
+
+
+# (n, p_len, state_count, loop_lengths, repeats per segment, accept_segment,
+# accept_offset) for p_len 0, 1 and the largest certified p_len
+CASE_STRUCTURE = [
+    (2, 0, 18, (3, 8), (1, 2, 1, 2), 3, 5),
+    (2, 1, 18, (3, 8), (1, 2, 1, 2), 3, 6),
+    (2, 2, 18, (3, 8), (1, 2, 1, 2), 3, 7),
+    (3, 0, 37, (8, 15), (1, 3, 1, 4), 3, 0),
+    (3, 1, 38, (8, 15), (1, 3, 1, 4, 1), 4, 0),
+    (3, 159, 196, (8, 15), (1, 3, 1, 4, 1), 4, 0),
+    (4, 0, 90, (15, 32), (1, 4, 1, 4), 3, 27),
+    (4, 1, 90, (15, 32), (1, 4, 1, 4), 3, 28),
+    (4, 383, 468, (15, 32), (1, 4, 1, 5, 1), 4, 0),
+    (5, 0, 327, (32, 191), (1, 5, 1, 1), 3, 187),
+    (5, 1, 327, (32, 191), (1, 5, 1, 1), 3, 188),
+    (5, 895, 1218, (32, 191), (1, 5, 1, 2, 1), 4, 0),
+    (6, 0, 586, (191, 128), (1, 2, 1, 6), 3, 121),
+    (6, 1, 586, (191, 128), (1, 2, 1, 6), 3, 122),
+    (6, 2047, 2626, (191, 128), (1, 2, 1, 7, 1), 4, 0),
+    (7, 0, 1033, (128, 255), (1, 7, 1, 8), 3, 0),
+    (7, 1, 1034, (128, 255), (1, 7, 1, 8, 1), 4, 0),
+    (7, 4607, 5640, (128, 255), (1, 7, 1, 8, 1), 4, 0),
+    (8, 0, 2322, (255, 512), (1, 8, 1, 8), 3, 503),
+    (8, 1, 2322, (255, 512), (1, 8, 1, 8), 3, 504),
+    (8, 10239, 12552, (255, 512), (1, 8, 1, 9, 1), 4, 0),
+    (9, 0, 9227, (512, 5119), (1, 9, 1, 1), 3, 5111),
+    (9, 1, 9227, (512, 5119), (1, 9, 1, 1), 3, 5112),
+    (9, 22527, 31746, (512, 5119), (1, 9, 1, 2, 1), 4, 0),
+]
+
+
+@pytest.mark.parametrize("n, p_len, states, loops, repeats, seg, offset", CASE_STRUCTURE)
+def test_case_structure_pinned(n, p_len, states, loops, repeats, seg, offset):
+    spec = witness.build_case(witness.case_for(n), n, p_len)
+    assert spec.state_count == states
+    assert spec.loop_lengths == loops
+    assert tuple(s.repeats for s in spec.segments) == repeats
+    assert (spec.accept_segment, spec.accept_offset) == (seg, offset)
+    assert spec.target_len == psc.cumulative_length(n + 1) + p_len
+
+
+def test_rate_profile_pinned_at_zone_9():
+    (point,) = analysis.rate_profile("psc", [40961])
+    assert (point.bound, point.source) == (Fraction(5291, 6827), "case4(n=9,p=22527)")
